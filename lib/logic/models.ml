@@ -178,9 +178,9 @@ let count ?cap alphabet f =
   else if not (Semantics.is_sat (assign_false_outside alphabet f)) then 0
   else
     (* Above the cutover: walk the models through the SAT enumerator's
-       blocking clauses, tallying multi-word masks without ever storing
-       one.  The walk is capped (default 1_000_000) and raises an
-       actionable [Invalid_argument] past the cap, so a formula whose
+       blocking clauses, tallying models without ever storing one.  The
+       walk is capped (default 1_000_000) and raises
+       [Enumeration_cap_exceeded] past the cap, so a formula whose
        model set really is astronomical fails loudly instead of looping;
        the preceding one-SAT-call zero check keeps the common
        unsatisfiable case free. *)

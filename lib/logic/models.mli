@@ -57,8 +57,8 @@ val count : ?cap:int -> Var.t list -> Formula.t -> int
     Above the cutover one SAT call settles the zero case; otherwise the
     blocking-clause walk tallies models without storing them
     ({!Semantics.count_sat}), bounded by [cap] (default 1_000_000) —
-    past the cap it raises an actionable [Invalid_argument] instead of
-    walking an astronomical model set to completion. *)
+    past the cap it raises {!Semantics.Enumeration_cap_exceeded} instead
+    of walking an astronomical model set to completion. *)
 
 val equivalent_on : Var.t list -> Formula.t -> Formula.t -> bool
 (** Logical equivalence over the alphabet: packed truth-table sweep below

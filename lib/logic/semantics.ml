@@ -123,61 +123,54 @@ let assert_formula env (f : Formula.t) =
 
 let solve ?assumptions env = S.solve ?assumptions env.solver
 
-let model_on env alphabet =
-  List.fold_left
-    (fun acc x ->
-      if S.value env.solver (lit_of_var env x) then Var.Set.add x acc else acc)
-    Var.Set.empty alphabet
+(* Solver literals of the letters, in order.  An enumeration walk
+   computes them once; every model is then read, and every blocking
+   clause built, from this array with no per-letter map lookup. *)
+let letter_lits env letters = Array.of_list (List.map (lit_of_var env) letters)
 
-let blocking_clause env alphabet m =
+(* The clause that excludes exactly one assignment of the letters:
+   letter [i]'s literal, negated where [is_set i], then [tail]. *)
+let blocking_clause ?(tail = []) lits is_set =
+  let rec go i acc =
+    if i < 0 then acc
+    else go (i - 1) ((if is_set i then L.neg lits.(i) else lits.(i)) :: acc)
+  in
+  go (Array.length lits - 1) tail
+
+(* The last model's values of [lits] in three shapes: a letter set, a
+   one-word mask and a multi-word mask, bit [i] for [lits.(i)]. *)
+let interp_of env letters lits =
+  let m = ref Var.Set.empty in
+  List.iteri
+    (fun i x -> if S.value env.solver lits.(i) then m := Var.Set.add x !m)
+    letters;
+  !m
+
+let mask_of env lits =
+  let mask = ref 0 in
+  Array.iteri
+    (fun i l ->
+      (* lint: shift-ok i < Interp_packed.size alpha <= max_letters: every
+         packed-mask caller checks Interp_packed.fits first *)
+      if S.value env.solver l then mask := !mask lor (1 lsl i))
+    lits;
+  !mask
+
+let wide_of env alpha lits =
+  let m = Interp_wide.zero alpha in
+  Array.iteri (fun i l -> if S.value env.solver l then Interp_wide.set_bit m i) lits;
+  m
+
+let model_on env alphabet = interp_of env alphabet (letter_lits env alphabet)
+
+let interp_blocking env alphabet m =
   List.map
     (fun x ->
       let l = lit_of_var env x in
       if Var.Set.mem x m then L.neg l else l)
     alphabet
 
-let block env alphabet m = add env (blocking_clause env alphabet m)
-
-let mask_on env alpha =
-  let mask = ref 0 in
-  List.iteri
-    (fun i x ->
-      (* lint: shift-ok i < Interp_packed.size alpha <= max_letters: every
-         packed-mask caller checks Interp_packed.fits first *)
-      if S.value env.solver (lit_of_var env x) then mask := !mask lor (1 lsl i))
-    (Interp_packed.letters alpha);
-  !mask
-
-let blocking_clause_mask env alpha mask =
-  List.mapi
-    (fun i x ->
-      let l = lit_of_var env x in
-      (* lint: shift-ok i < Interp_packed.size alpha <= max_letters (the
-         packed-mask callers check Interp_packed.fits) *)
-      if mask land (1 lsl i) <> 0 then L.neg l else l)
-    (Interp_packed.letters alpha)
-
-let block_mask env alpha mask = add env (blocking_clause_mask env alpha mask)
-
-(* Wide-mask variants: same letter-to-bit map, words instead of one
-   int, no width ceiling. *)
-let mask_on_wide env alpha =
-  let m = Interp_wide.zero alpha in
-  List.iteri
-    (fun i x ->
-      if S.value env.solver (lit_of_var env x) then Interp_wide.set_bit m i)
-    (Interp_packed.letters alpha);
-  m
-
-let blocking_clause_mask_wide env alpha mask =
-  List.mapi
-    (fun i x ->
-      let l = lit_of_var env x in
-      if Interp_wide.test mask i then L.neg l else l)
-    (Interp_packed.letters alpha)
-
-let block_mask_wide env alpha mask =
-  add env (blocking_clause_mask_wide env alpha mask)
+let block env alphabet m = add env (interp_blocking env alphabet m)
 
 (* -- cardinality ladder -------------------------------------------------
 
@@ -330,11 +323,14 @@ module Session = struct
     in
     List.rev (go [] f)
 
-  let solve ?(scopes = []) ?(extra = []) s fs =
+  (* One query on a ready assumption list. *)
+  let query s assumptions =
     s.queries <- s.queries + 1;
     if s.queries > 1 then Obs.incr c_reuse;
-    let assumptions = List.concat_map (premise s) fs @ extra @ scopes in
     Obs.with_span "sem.query" (fun () -> solve ~assumptions s.env)
+
+  let solve ?(scopes = []) ?(extra = []) s fs =
+    query s (List.concat_map (premise s) fs @ extra @ scopes)
 
   (* Entailment inside the session: premises /\ ~q unsatisfiable.  The
      negated query is activated by assumption like everything else, so
@@ -343,21 +339,23 @@ module Session = struct
   let entails ?(premises = []) s q =
     not (solve s (premises @ [ Formula.not_ q ]))
 
-  let model_on s alphabet = model_on s.env alphabet
-  let mask_on s alpha = mask_on s.env alpha
   let new_scope s = fresh_lit s.env
   let scoped_clause s sel c = add s.env (L.neg sel :: c)
-
-  let block s sel alphabet m =
-    scoped_clause s sel (blocking_clause s.env alphabet m)
+  let block s sel alphabet m = scoped_clause s sel (interp_blocking s.env alphabet m)
+  let alpha_lits s alpha = letter_lits s.env (Interp_packed.letters alpha)
+  let mask_on s alpha = mask_of s.env (alpha_lits s alpha)
+  let mask_on_wide s alpha = wide_of s.env alpha (alpha_lits s alpha)
 
   let block_mask s sel alpha mask =
-    scoped_clause s sel (blocking_clause_mask s.env alpha mask)
-
-  let mask_on_wide s alpha = mask_on_wide s.env alpha
+    scoped_clause s sel
+      (blocking_clause (alpha_lits s alpha) (fun i ->
+           (* lint: shift-ok i < Interp_packed.size alpha <= max_letters
+              (the packed-mask callers check Interp_packed.fits) *)
+           mask land (1 lsl i) <> 0))
 
   let block_mask_wide s sel alpha mask =
-    scoped_clause s sel (blocking_clause_mask_wide s.env alpha mask)
+    scoped_clause s sel
+      (blocking_clause (alpha_lits s alpha) (Interp_wide.test mask))
 
   let retire s sel =
     s.scopes_retired <- s.scopes_retired + 1;
@@ -388,23 +386,36 @@ module Session = struct
   let closer_than ?(assume = []) s fs lad d =
     d > 0 && within ~assume s fs lad (d - 1)
 
-  (* Scoped model enumeration: blocking clauses are tagged with a fresh
-     selector and retired afterwards, so one session can enumerate
-     several formulas in turn without the blocking clauses of one
-     poisoning the next. *)
-  let models ?(cap = 1_000_000) s alphabet f =
-    declare s alphabet;
+  (* The blocking walk behind every enumerator.  Blocking clauses are
+     tagged with a fresh selector and retired afterwards, so one session
+     can enumerate several formulas in turn without the blocking clauses
+     of one poisoning the next.  [f]'s assumption literals and the
+     letters' solver literals are computed once per walk; each model
+     then costs one solve, one read of [lits] by [found] (which folds it
+     into the accumulator) and one blocking clause over [lits].  More
+     than [cap] models raise {!Enumeration_cap_exceeded}. *)
+  let walk ~enumerator ~cap s letters f ~init ~found =
+    declare s letters;
     with_retractable s (fun scope ->
+        let lits = letter_lits s.env letters in
+        let assumptions = premise s f @ [ scope ] in
         let rec go acc n =
-          if n > cap then cap_exceeded "models_sat" cap
-          else if solve s ~scopes:[ scope ] [ f ] then begin
-            let m = model_on s alphabet in
-            block s scope alphabet m;
-            go (m :: acc) (n + 1)
+          if n > cap then cap_exceeded enumerator cap
+          else if query s assumptions then begin
+            let acc = found lits acc in
+            add s.env
+              (blocking_clause ~tail:[ L.neg scope ] lits (fun i ->
+                   S.value s.env.solver lits.(i)));
+            go acc (n + 1)
           end
-          else List.rev acc
+          else acc
         in
-        go [] 0)
+        go init 0)
+
+  let models ?(cap = 1_000_000) s alphabet f =
+    List.rev
+      (walk ~enumerator:"models_sat" ~cap s alphabet f ~init:[]
+         ~found:(fun lits acc -> interp_of s.env alphabet lits :: acc))
 
   let masks ?(cap = 1_000_000) s alpha f =
     if not (Interp_packed.fits alpha) then
@@ -414,57 +425,27 @@ module Session = struct
             one-word masks (the bit-shift bound lint rule R2 enforces; \
             use the wide engine masks_sat_wide for larger alphabets)"
            (Interp_packed.size alpha) Interp_packed.max_letters);
-    declare s (Interp_packed.letters alpha);
-    with_retractable s (fun scope ->
-        let rec go acc n =
-          if n > cap then cap_exceeded "masks_sat" cap
-          else if solve s ~scopes:[ scope ] [ f ] then begin
-            let m = mask_on s alpha in
-            block_mask s scope alpha m;
-            go (m :: acc) (n + 1)
-          end
-          else Interp_packed.normalize (Array.of_list acc)
-        in
-        go [] 0)
+    Interp_packed.normalize
+      (Array.of_list
+         (walk ~enumerator:"masks_sat" ~cap s (Interp_packed.letters alpha) f
+            ~init:[]
+            ~found:(fun lits acc -> mask_of s.env lits :: acc)))
 
-  (* Wide-mask enumeration: the same scoped blocking walk with no width
-     ceiling — this is the production enumerator past
+  (* Wide-mask enumeration: the production enumerator past
      [Interp_packed.max_letters]. *)
   let masks_wide ?(cap = 1_000_000) s alpha f =
-    declare s (Interp_packed.letters alpha);
-    with_retractable s (fun scope ->
-        let rec go acc n =
-          if n > cap then cap_exceeded "masks_sat_wide" cap
-          else if solve s ~scopes:[ scope ] [ f ] then begin
-            let m = mask_on_wide s alpha in
-            block_mask_wide s scope alpha m;
-            go (m :: acc) (n + 1)
-          end
-          else Interp_wide.normalize (Array.of_list acc)
-        in
-        go [] 0)
+    Interp_wide.normalize
+      (Array.of_list
+         (walk ~enumerator:"masks_sat_wide" ~cap s
+            (Interp_packed.letters alpha) f ~init:[]
+            ~found:(fun lits acc -> wide_of s.env alpha lits :: acc)))
 
-  (* Model count by the same walk, tallying instead of storing: no mask
-     is retained, so counting costs one blocking clause per model and
-     O(words) transient memory.  Raises [Invalid_argument] past the cap
-     with the count so far, so the caller knows the scale it hit. *)
+  (* Model count by the same walk, tallying instead of storing: no model
+     is kept, so counting costs one solve and one blocking clause per
+     model. *)
   let count_masks ?(cap = 1_000_000) s alpha f =
-    declare s (Interp_packed.letters alpha);
-    with_retractable s (fun scope ->
-        let rec go n =
-          if n > cap then
-            invalid_arg
-              (Printf.sprintf
-                 "Semantics.count_sat: more than %d models over %d letters \
-                  (raise ~cap if walking a model set this size is intended)"
-                 cap (Interp_packed.size alpha))
-          else if solve s ~scopes:[ scope ] [ f ] then begin
-            block_mask_wide s scope alpha (mask_on_wide s alpha);
-            go (n + 1)
-          end
-          else n
-        in
-        go 0)
+    walk ~enumerator:"count_sat" ~cap s (Interp_packed.letters alpha) f
+      ~init:0 ~found:(fun _ n -> n + 1)
 end
 
 let masks_sat ?cap alpha f =

@@ -24,8 +24,8 @@ type env
 
 exception Enumeration_cap_exceeded of { enumerator : string; cap : int }
 (** A model-enumeration walk ([models_sat], [masks_sat],
-    [masks_sat_wide] or their {!Session} forms) produced more than [cap]
-    models.  Raised instead of truncating, so a silent partial model set
+    [masks_sat_wide], [count_sat] or their {!Session} forms) produced
+    more than [cap] models.  Raised instead of truncating, so a silent partial model set
     can never flow into a revision. *)
 
 val create : unit -> env
@@ -150,7 +150,6 @@ module Session : sig
       repeated entailment queries against one asserted KB hit the
       Tseitin memo and the accumulated learned clauses. *)
 
-  val model_on : t -> Var.t list -> Interp.t
   val mask_on : t -> Interp_packed.alphabet -> Interp_packed.t
   val mask_on_wide : t -> Interp_packed.alphabet -> Interp_wide.t
 
@@ -207,8 +206,8 @@ module Session : sig
 
   val count_masks : ?cap:int -> t -> Interp_packed.alphabet -> Formula.t -> int
   (** Model count by the blocking walk, tallying instead of storing.
-      Raises [Invalid_argument] past [cap] (default 1_000_000) with an
-      actionable message — truncation is never silent. *)
+      Raises {!Enumeration_cap_exceeded} (enumerator ["count_sat"]) past
+      [cap] (default 1_000_000) — truncation is never silent. *)
 end
 
 (** {1 One-shot queries} *)
@@ -233,15 +232,6 @@ val equiv : Formula.t -> Formula.t -> bool
 (** Both CDCL directions share one session: the second direction reuses
     the first's encodings and learned clauses. *)
 
-val mask_on : env -> Interp_packed.alphabet -> Interp_packed.t
-(** Projection of the last model onto a packed alphabet, as a mask. *)
-
-val block_mask : env -> Interp_packed.alphabet -> Interp_packed.t -> unit
-(** Mask-level {!block}. *)
-
-val mask_on_wide : env -> Interp_packed.alphabet -> Interp_wide.t
-val block_mask_wide : env -> Interp_packed.alphabet -> Interp_wide.t -> unit
-
 val masks_sat :
   ?cap:int -> Interp_packed.alphabet -> Formula.t -> Interp_packed.set
 (** Packed {!models_sat}: walk the models of the Tseitin-encoded formula
@@ -260,7 +250,8 @@ val masks_sat_wide :
 val count_sat : ?cap:int -> Interp_packed.alphabet -> Formula.t -> int
 (** One-shot {!Session.count_masks}: model count over the alphabet by
     the SAT blocking walk, never materializing the model set.  This is
-    what {!Models.count} runs past its brute-force cutover. *)
+    what {!Models.count} runs past its brute-force cutover.  Raises
+    {!Enumeration_cap_exceeded} past [cap] (default 1_000_000). *)
 
 val models_sat : ?cap:int -> Var.t list -> Formula.t -> Interp.t list
 (** All distinct projections onto the given letters of models of the

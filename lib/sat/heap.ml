@@ -1,69 +1,78 @@
 type t = {
-  score : int -> float;
-  heap : int Vec.t; (* heap of variable indices *)
+  score : float array ref;
+  mutable heap : int array; (* variable indices; slots [0, size) in use *)
+  mutable size : int;
   mutable pos : int array; (* var -> index in heap, or -1 *)
 }
 
-let create score = { score; heap = Vec.create (); pos = Array.make 16 (-1) }
+let create score =
+  { score; heap = Array.make 16 0; size = 0; pos = Array.make 16 (-1) }
 
 let grow_to t n =
   let cap = Array.length t.pos in
   if n > cap then begin
     let pos' = Array.make (max n (2 * cap)) (-1) in
     Array.blit t.pos 0 pos' 0 cap;
-    t.pos <- pos'
+    t.pos <- pos';
+    let heap' = Array.make (Array.length pos') 0 in
+    Array.blit t.heap 0 heap' 0 t.size;
+    t.heap <- heap'
   end
 
 let mem t v = v < Array.length t.pos && t.pos.(v) >= 0
-let size t = Vec.size t.heap
+let size t = t.size
 
-let swap t i j =
-  let vi = Vec.get t.heap i and vj = Vec.get t.heap j in
-  Vec.set t.heap i vj;
-  Vec.set t.heap j vi;
-  t.pos.(vi) <- j;
-  t.pos.(vj) <- i
+(* Variable [a] outranks variable [b].  The scores are read straight out
+   of the float array, so a comparison neither calls a closure nor boxes
+   a float. *)
+let above t a b =
+  let s = !(t.score) in
+  s.(a) > s.(b)
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.score (Vec.get t.heap i) > t.score (Vec.get t.heap parent) then begin
-      swap t i parent;
-      sift_up t parent
+let place t i v =
+  t.heap.(i) <- v;
+  t.pos.(v) <- i
+
+(* Sift [v] up from slot [i]: move each parent it outranks down one
+   level, then place [v] in the slot left free. *)
+let rec sift_up t i v =
+  let p = (i - 1) / 2 in
+  if i > 0 && above t v t.heap.(p) then begin
+    place t i t.heap.(p);
+    sift_up t p v
+  end
+  else place t i v
+
+(* Sift [v] down from slot [i]: move the larger child up while it
+   outranks [v]. *)
+let rec sift_down t i v =
+  let l = (2 * i) + 1 in
+  if l >= t.size then place t i v
+  else
+    let c =
+      if l + 1 < t.size && above t t.heap.(l + 1) t.heap.(l) then l + 1 else l
+    in
+    if above t t.heap.(c) v then begin
+      place t i t.heap.(c);
+      sift_down t c v
     end
-  end
-
-let rec sift_down t i =
-  let n = Vec.size t.heap in
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < n && t.score (Vec.get t.heap l) > t.score (Vec.get t.heap !best) then
-    best := l;
-  if r < n && t.score (Vec.get t.heap r) > t.score (Vec.get t.heap !best) then
-    best := r;
-  if !best <> i then begin
-    swap t i !best;
-    sift_down t !best
-  end
+    else place t i v
 
 let insert t v =
   grow_to t (v + 1);
   if t.pos.(v) < 0 then begin
-    Vec.push t.heap v;
-    t.pos.(v) <- Vec.size t.heap - 1;
-    sift_up t (Vec.size t.heap - 1)
+    t.size <- t.size + 1;
+    sift_up t (t.size - 1) v
   end
 
-let update t v = if mem t v then sift_up t t.pos.(v)
+let update t v = if mem t v then sift_up t t.pos.(v) v
 
 let pop_max t =
-  if Vec.size t.heap = 0 then None
+  if t.size = 0 then None
   else begin
-    let top = Vec.get t.heap 0 in
-    let n = Vec.size t.heap in
-    swap t 0 (n - 1);
-    ignore (Vec.pop t.heap);
+    let top = t.heap.(0) in
+    t.size <- t.size - 1;
     t.pos.(top) <- -1;
-    if Vec.size t.heap > 0 then sift_down t 0;
+    if t.size > 0 then sift_down t 0 t.heap.(t.size);
     Some top
   end

@@ -6,11 +6,13 @@
 
 type t
 
-val create : (int -> float) -> t
-(** [create score] builds an empty heap ordering variables by [score]
-    (higher first).  [score] is read at comparison time, so bumping a
-    variable's activity requires a subsequent {!update} to restore heap
-    order. *)
+val create : float array ref -> t
+(** [create score] builds an empty heap ordering variables by their
+    entry in [!score] (higher first).  The array is read at comparison
+    time, through the reference, so the owner may grow it by swapping
+    in a longer copy; it must cover every variable in the heap.
+    Bumping a variable's score requires a subsequent {!update} to
+    restore heap order. *)
 
 val mem : t -> int -> bool
 val insert : t -> int -> unit

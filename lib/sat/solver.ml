@@ -60,9 +60,7 @@ let create () =
     qhead = 0;
     clauses = Vec.create ();
     learnts = Vec.create ();
-    order =
-      Heap.create (fun v ->
-          if v < Array.length !activity then !activity.(v) else 0.0);
+    order = Heap.create activity;
     nvars = 0;
     var_inc = 1.0;
     cla_inc = 1.0;
@@ -343,30 +341,48 @@ let reduce_db s =
 
 (* -- adding clauses ----------------------------------------------------- *)
 
+let sorted a =
+  let rec go i = i >= Array.length a || (a.(i - 1) <= a.(i) && go (i + 1)) in
+  go 1
+
+(* Simplification is one pass over the sorted literals.  A literal is
+   [2v] or [2v+1], so sorting puts duplicates next to each other and a
+   complementary pair [2v, 2v+1] side by side: a tautology is a literal
+   whose sorted predecessor is its negation.  The kept literals are
+   compacted to the front of the array in sorted order.  Clauses often
+   arrive sorted already (a blocking clause lists the letters in
+   declaration order), so the sort runs only past an inversion. *)
 let add_clause s lits =
   if s.ok then begin
     cancel_until s 0;
-    List.iter (fun l -> ensure_nvars s (Lit.var l + 1)) lits;
-    (* Simplify: sort, dedup, drop false literals, detect tautology and
-       literals already true at level 0. *)
-    let lits = List.sort_uniq compare lits in
-    let taut =
-      List.exists (fun l -> List.mem (Lit.neg l) lits) lits
-      || List.exists (fun l -> value_lit s l = 1) lits
-    in
-    if not taut then begin
-      let lits = List.filter (fun l -> value_lit s l <> -1) lits in
-      match lits with
-      | [] -> s.ok <- false
-      | [ l ] ->
-          enqueue s l None;
+    let a = Array.of_list lits in
+    let n = Array.length a in
+    if not (sorted a) then Array.sort Int.compare a;
+    if n > 0 then ensure_nvars s (Lit.var a.(n - 1) + 1);
+    let kept = ref 0 and satisfied = ref false and i = ref 0 and prev = ref (-1) in
+    while (not !satisfied) && !i < n do
+      let l = a.(!i) in
+      if l = !prev then () (* duplicate *)
+      else if !prev = Lit.neg l || value_lit s l = 1 then satisfied := true
+      else if value_lit s l = 0 then begin
+        a.(!kept) <- l;
+        incr kept
+      end;
+      prev := l;
+      incr i
+    done;
+    if not !satisfied then
+      match !kept with
+      | 0 -> s.ok <- false
+      | 1 ->
+          enqueue s a.(0) None;
           if propagate s <> None then s.ok <- false
-      | _ ->
-          let arr = Array.of_list lits in
-          let c = { lits = arr; learnt = false; activity = 0.0; deleted = false } in
+      | k ->
+          let c =
+            { lits = Array.sub a 0 k; learnt = false; activity = 0.0; deleted = false }
+          in
           Vec.push s.clauses c;
           attach s c
-    end
   end
 
 (* -- search ------------------------------------------------------------- *)
@@ -426,8 +442,8 @@ let search s assumptions conflict_budget =
             > 4000 + (2 * Vec.size s.clauses)
           then reduce_db s;
           (* Assumption literals occupy the first decision levels. *)
-          if decision_level s < List.length assumptions then begin
-            let p = List.nth assumptions (decision_level s) in
+          if decision_level s < Array.length assumptions then begin
+            let p = assumptions.(decision_level s) in
             match value_lit s p with
             | 1 ->
                 (* Already true: open a dummy level to keep alignment. *)
@@ -468,7 +484,8 @@ let solve_inner assumptions s =
   if not s.ok then false
   else begin
     cancel_until s 0;
-    List.iter (fun l -> ensure_nvars s (Lit.var l + 1)) assumptions;
+    let assumptions = Array.of_list assumptions in
+    Array.iter (fun l -> ensure_nvars s (Lit.var l + 1)) assumptions;
     let rec loop restarts =
       let budget = int_of_float (100.0 *. luby 2.0 restarts) in
       match search s assumptions budget with

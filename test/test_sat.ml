@@ -58,7 +58,7 @@ let test_vec_fold () =
 
 let test_heap_order () =
   let score = [| 5.0; 1.0; 9.0; 3.0; 7.0 |] in
-  let h = H.create (fun v -> score.(v)) in
+  let h = H.create (ref score) in
   List.iter (H.insert h) [ 0; 1; 2; 3; 4 ];
   let order = List.init 5 (fun _ -> Option.get (H.pop_max h)) in
   Alcotest.(check (list int)) "descending by score" [ 2; 4; 0; 3; 1 ] order;
@@ -66,17 +66,52 @@ let test_heap_order () =
 
 let test_heap_update () =
   let score = Array.make 4 0.0 in
-  let h = H.create (fun v -> score.(v)) in
+  let h = H.create (ref score) in
   List.iter (H.insert h) [ 0; 1; 2; 3 ];
   score.(3) <- 10.0;
   H.update h 3;
   Helpers.check_int "bumped to top" 3 (Option.get (H.pop_max h))
 
 let test_heap_no_duplicates () =
-  let h = H.create (fun _ -> 0.0) in
+  let h = H.create (ref (Array.make 2 0.0)) in
   H.insert h 1;
   H.insert h 1;
   Helpers.check_int "size" 1 (H.size h)
+
+(* Once the heap's arrays have grown, reordering is pointer and float
+   traffic only: a run of [insert]/[update] must not allocate (the
+   comparison reads the score array, no closure, no boxed float). *)
+let test_heap_no_alloc () =
+  let n = 256 in
+  let score = ref (Array.make n 0.0) in
+  let h = H.create score in
+  let fill () =
+    for v = 0 to n - 1 do
+      H.insert h v
+    done
+  and bump r =
+    for v = 0 to n - 1 do
+      !score.(v) <- !score.(v) +. float_of_int ((v * r) mod 7);
+      H.update h v
+    done
+  in
+  (* Grow the heap's arrays, then empty it again. *)
+  fill ();
+  while H.pop_max h <> None do
+    ()
+  done;
+  let before = Gc.minor_words () in
+  fill ();
+  for r = 1 to 40 do
+    bump r
+  done;
+  let allocated = Gc.minor_words () -. before in
+  Helpers.check_int "every variable back in the heap" n (H.size h);
+  if allocated > 64. then
+    Alcotest.failf
+      "heap insert/update allocated %.0f words over %d inserts and %d \
+       updates (expected ~0)"
+      allocated n (40 * n)
 
 (* -- Solver: brute-force cross-check ------------------------------------ *)
 
@@ -119,6 +154,97 @@ let test_random_cross_check () =
       Helpers.check_bool "model satisfies clauses" true ok
     end
   done
+
+(* -- Solver: randomized incremental differential ------------------------ *)
+
+(* Clause intake and assumptions under interleaving: clauses arrive
+   between solves and carry duplicate literals, complementary pairs and
+   literals already fixed at level 0 (by earlier unit clauses), so every
+   branch of [add_clause]'s one-pass simplification is taken; solves
+   carry assumption lists that may repeat or contradict themselves.
+   Each answer is checked against brute force over the clauses so far
+   and the assumptions, and each model against both. *)
+
+let holds code l =
+  let b = code land (1 lsl L.var l) <> 0 in
+  if L.is_pos l then b else not b
+
+let brute_force_under nv clauses assumptions =
+  let rec go code =
+    code < 1 lsl nv
+    && (List.for_all (holds code) assumptions
+        && List.for_all (List.exists (holds code)) clauses
+       || go (code + 1))
+  in
+  go 0
+
+let random_lit st nv = L.of_var ~neg:(Random.State.bool st) (Random.State.int st nv)
+
+(* 1 to 12 literals; with some probability a repeat of a drawn
+   literal, the negation of one, or a literal on a variable fixed by an
+   earlier unit clause (in either polarity). *)
+let messy_clause st nv fixed =
+  let base = List.init (1 + Random.State.int st 5) (fun _ -> random_lit st nv) in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let extra =
+    List.init (Random.State.int st 8) (fun _ ->
+        match Random.State.int st 4 with
+        | 0 -> pick base
+        | 1 -> L.neg (pick base)
+        | 2 when fixed <> [] ->
+            let l = pick fixed in
+            if Random.State.bool st then l else L.neg l
+        | _ -> random_lit st nv)
+  in
+  base @ extra
+
+let messy_assumptions st nv =
+  let base = List.init (Random.State.int st 4) (fun _ -> random_lit st nv) in
+  match base with
+  | l :: _ when Random.State.int st 3 = 0 ->
+      (* a repeat, or the assumption contradicted later in the list *)
+      base @ [ (if Random.State.bool st then l else L.neg l) ]
+  | _ -> base
+
+let test_random_incremental () =
+  let st = Random.State.make [| 4242 |] in
+  let solves = ref 0 and sats = ref 0 in
+  for _ = 1 to 400 do
+    let nv = 1 + Random.State.int st 8 in
+    let s = S.create () in
+    let clauses = ref [] and fixed = ref [] in
+    for _ = 1 to 25 do
+      if Random.State.int st 5 < 3 then begin
+        let c =
+          if Random.State.int st 6 = 0 then [ random_lit st nv ]
+          else messy_clause st nv !fixed
+        in
+        (match c with [ l ] -> fixed := l :: !fixed | _ -> ());
+        clauses := c :: !clauses;
+        S.add_clause s c
+      end
+      else begin
+        let assumptions = messy_assumptions st nv in
+        let expected = brute_force_under nv !clauses assumptions in
+        let got = S.solve ~assumptions s in
+        incr solves;
+        if got <> expected then
+          Alcotest.failf
+            "mismatch: brute=%b cdcl=%b (%d vars, %d clauses, %d assumptions)"
+            expected got nv (List.length !clauses) (List.length assumptions);
+        if got then begin
+          incr sats;
+          Helpers.check_bool "model satisfies every clause" true
+            (List.for_all (List.exists (S.value s)) !clauses);
+          Helpers.check_bool "model satisfies every assumption" true
+            (List.for_all (S.value s) assumptions)
+        end
+      end
+    done
+  done;
+  (* Both answers must actually occur, or the differential is vacuous. *)
+  Helpers.check_bool "some solves sat" true (!sats > 100);
+  Helpers.check_bool "some solves unsat" true (!solves - !sats > 100)
 
 let test_pigeonhole_unsat () =
   (* PHP(n+1, n) is unsatisfiable and requires real search. *)
@@ -396,11 +522,15 @@ let () =
           Alcotest.test_case "max order" `Quick test_heap_order;
           Alcotest.test_case "update" `Quick test_heap_update;
           Alcotest.test_case "no duplicates" `Quick test_heap_no_duplicates;
+          Alcotest.test_case "insert/update allocate nothing" `Quick
+            test_heap_no_alloc;
         ] );
       ( "solver",
         [
           Alcotest.test_case "random cross-check" `Quick
             test_random_cross_check;
+          Alcotest.test_case "random incremental differential" `Quick
+            test_random_incremental;
           Alcotest.test_case "pigeonhole unsat" `Quick test_pigeonhole_unsat;
           Alcotest.test_case "empty and unit" `Quick test_empty_and_unit;
           Alcotest.test_case "tautology dropped" `Quick

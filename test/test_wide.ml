@@ -201,14 +201,15 @@ let test_count_sat_tally () =
     (List.length (Models.enumerate vars fam.Witness.Wide_family.p_wide))
 
 let test_count_cap () =
-  (* 2^10 models against cap 100: must raise an actionable message, not
-     truncate silently. *)
+  (* 2^10 models against cap 100: must raise the structured cap error
+     every enumerator raises, naming the walk and the cap, not truncate
+     silently. *)
   let fam = Witness.Wide_family.make ~n:30 ~m:10 in
   let vars = Witness.Wide_family.letters fam in
   match Models.count ~cap:100 vars fam.Witness.Wide_family.p_wide with
-  | exception Invalid_argument msg ->
-      check_bool "cap message names the cap" true
-        (contains_substring msg "100")
+  | exception Semantics.Enumeration_cap_exceeded { enumerator; cap } ->
+      Alcotest.(check string) "cap error names the walk" "count_sat" enumerator;
+      check_int "cap error carries the cap" 100 cap
   | k -> Alcotest.failf "expected a cap failure, got count %d" k
 
 let test_count_unsat () =
